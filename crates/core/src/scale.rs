@@ -1,26 +1,17 @@
 //! Scale-out search: sharding and caching behind the same
 //! [`SimilaritySearch`] seam every other engine implements.
 //!
-//! The paper's pitch is interactive-speed exploration; the ROADMAP's
-//! north star is serving that experience under heavy concurrent traffic.
-//! One engine over one partition caps out on both axes, so this module
-//! provides the first two scale-out building blocks:
-//!
-//! * [`ShardedEngine`] — partitions a dataset across N shards, builds one
-//!   ONEX engine per shard **in parallel**, fans every query out across
-//!   the shards on a **persistent worker pool** and merges the per-shard
-//!   answers through the shared [`BestK`] accumulator. All shards of one
-//!   query prune against a single [`SharedBound`] (the query-global
-//!   k-th-best threshold), so a tight bound discovered by any shard
-//!   immediately shrinks every other shard's candidate cascade — total
-//!   touched candidates stay near the single engine's instead of ~N× the
-//!   per-shard heap fills (bench E14 tracks the ratio). Because each
-//!   shard runs the exact two-phase plan over its own subsequence space,
-//!   the merged top-k is identical to the single-engine answer over the
-//!   whole dataset up to distance ties (the conformance suite and
-//!   benches E13/E14 assert this), while wall-clock drops with the shard
-//!   count. The pool is built once with the engine and reused across
-//!   queries; nothing on the query path spawns threads.
+//! * [`ShardedEngine`] — partitions a dataset round-robin across N
+//!   shards, builds one ONEX engine per shard **in parallel**, and runs
+//!   every query on the shared fan-out executor ([`FanOut`]), the same
+//!   one `onex_net::ClusterEngine` runs over remote shard slots. Here a
+//!   shard is a pinned [`EngineSnapshot`]: all shards of one query prune
+//!   against one [`SharedBound`], so a tight bound
+//!   found by any shard immediately shrinks every other shard's cascade
+//!   (bench E14 tracks the touched-candidate ratio). Each shard runs the
+//!   exact two-phase plan over its own subsequence space, so the merged
+//!   top-k equals the single engine's up to distance ties (the
+//!   conformance suite and benches E13/E14 assert this).
 //! * [`CachedSearch`] — a decorator over *any* backend with a bounded
 //!   LRU keyed on `(query values, k)`. Interactive exploration repeats
 //!   queries constantly (brushing the same window, comparing backends);
@@ -38,42 +29,24 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use onex_api::{
-    validate_query, BackendMatch, BackendStats, BestK, Capabilities, Epoch, OnexError,
-    SearchOutcome, SharedBound, SimilaritySearch, Versioned,
+    Capabilities, DegradePolicy, Epoch, OnexError, SearchOutcome, SharedBound, SimilaritySearch,
+    Versioned,
 };
 use onex_grouping::{BaseConfig, BuildReport, RepresentativePolicy};
-use onex_tseries::{Dataset, SubseqRef, TimeSeries};
+use onex_tseries::{Dataset, TimeSeries};
 
 use crate::engine::EngineSnapshot;
-use crate::search::normalize;
+pub use crate::fanout::PoolStats;
+use crate::fanout::{FanOut, FanOutPolicy, ShardTarget};
 use crate::{Onex, QueryOptions, ScanBreadth};
 
 // ---------------------------------------------------------------------
 // ShardedEngine
 // ---------------------------------------------------------------------
 
-/// One shard's epoch-pinned view: a snapshot of the shard engine plus
-/// the id translation between the shard-local and the global numbering.
-/// The whole vector of views is published together ([`Versioned`]), so a
-/// query that pins one [`ShardMap`] sees every shard at a mutually
-/// consistent epoch.
-#[derive(Debug, Clone)]
-struct ShardView {
-    snapshot: EngineSnapshot,
-    /// Shard-local series id → global series id.
-    to_global: Vec<u32>,
-    /// Global series id → shard-local series id.
-    to_local: HashMap<u32, u32>,
-}
-
-/// The atomically-published state of a [`ShardedEngine`]: every shard's
-/// pinned snapshot and id maps, plus the global series count (which
-/// doubles as the next global id).
-#[derive(Debug, Clone)]
-struct ShardMap {
-    views: Vec<ShardView>,
-    total_series: usize,
-}
+/// In-process shards always reply — a panic is caught into a typed
+/// error — so this deadline guards against a lost pool, not a query SLA.
+const REPLY_DEADLINE: Duration = Duration::from_secs(300);
 
 /// What building a [`ShardedEngine`] cost: the per-shard construction
 /// reports plus the wall-clock of the whole parallel build (shorter than
@@ -105,164 +78,28 @@ impl ShardedBuildReport {
     }
 }
 
-/// One unit of pool work: run `query` against one shard's engine under
-/// the query's shared bound, and send the outcome back tagged with the
-/// shard index. Everything is owned (`Arc`s and clones), so jobs outlive
-/// the borrow of the submitting call — the prerequisite for a persistent
-/// pool instead of per-query scoped threads.
-struct ShardJob {
-    index: usize,
-    /// The epoch-pinned shard view this job queries — the submitting
-    /// query pins one [`ShardMap`] and hands every job a snapshot from
-    /// it, so all shards of one query answer from the same epoch no
-    /// matter what appends commit mid-flight.
-    snapshot: EngineSnapshot,
-    /// Shard-localised options; `None` means the shard cannot contribute
-    /// (an `only_series` filter owned by another shard).
-    opts: Option<QueryOptions>,
-    query: Arc<[f64]>,
-    k: usize,
-    /// The query-global pruning bound this job tightens and observes.
-    bound: Arc<SharedBound>,
-    reply: crossbeam::channel::Sender<(usize, Result<SearchOutcome, OnexError>)>,
-}
-
-/// Observability counters of a [`ShardedEngine`]'s worker pool. The
-/// load-bearing invariant: `threads_spawned` is set at construction and
-/// **never grows** — queries reuse the pool instead of spawning (the
-/// lifetime-counter test and bench E14 both lean on this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads the pool runs (one per shard).
-    pub workers: usize,
-    /// Threads ever spawned — equals `workers` for the pool's lifetime.
-    pub threads_spawned: usize,
-    /// Shard-jobs executed so far (each query contributes one per shard).
-    pub jobs_executed: usize,
-}
-
-/// A persistent pool of per-shard query workers over the bounded MPMC
-/// channel (the same primitive the server's accept loop pools
-/// connections with). Workers live as long as the engine: submitting a
-/// job is a channel send, never a thread spawn — the fixed ~per-thread
-/// setup cost that used to dominate sub-millisecond sharded queries is
-/// paid once at build time.
-struct ShardPool {
-    /// `Some` for the pool's lifetime; taken in `Drop` so workers see the
-    /// disconnect and exit before the handles are joined.
-    tx: Option<crossbeam::channel::Sender<ShardJob>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    threads_spawned: Arc<AtomicUsize>,
-    jobs_executed: Arc<AtomicUsize>,
-}
-
-impl ShardPool {
-    fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        // Capacity 2× the workers: one query's fan-out fits entirely
-        // without blocking the submitter, and a second query can queue
-        // behind it; beyond that, submission blocks (backpressure).
-        let (tx, rx) = crossbeam::channel::bounded::<ShardJob>(workers * 2);
-        let threads_spawned = Arc::new(AtomicUsize::new(0));
-        let jobs_executed = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let executed = Arc::clone(&jobs_executed);
-                // Counted here, on the constructing thread: the counter
-                // is "threads ever spawned", not "threads scheduled".
-                threads_spawned.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        let ShardJob {
-                            index,
-                            snapshot,
-                            opts,
-                            query,
-                            k,
-                            bound,
-                            reply,
-                        } = job;
-                        // A panicking query must cost one errored reply,
-                        // not a pool worker (mirrors the serve loop's
-                        // catch_unwind rationale).
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match opts {
-                                Some(opts) => {
-                                    snapshot.k_best_bounded(&query, k, &opts, &bound).map(
-                                        |(matches, stats)| crate::backends::outcome(matches, stats),
-                                    )
-                                }
-                                None => Ok(SearchOutcome::default()),
-                            }))
-                            .unwrap_or_else(|_| {
-                                Err(OnexError::Internal("shard query worker panicked".into()))
-                            });
-                        // A send error means the query side gave up
-                        // (errored out early); the result is moot.
-                        let _ = reply.send((index, result));
-                    }
-                })
-            })
-            .collect();
-        ShardPool {
-            tx: Some(tx),
-            workers: handles,
-            threads_spawned,
-            jobs_executed,
-        }
-    }
-
-    fn submit(&self, job: ShardJob) -> Result<(), OnexError> {
-        self.tx
-            .as_ref()
-            .expect("pool sender lives until Drop")
-            .send(job)
-            .map_err(|_| OnexError::Internal("shard worker pool exited".into()))
-    }
-
-    fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers.len(),
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Disconnect first so every worker's recv returns Err, then join.
-        self.tx = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("workers", &self.workers.len())
-            .field("jobs_executed", &self.jobs_executed.load(Ordering::Relaxed))
-            .finish()
+/// The in-process shard target: one epoch-pinned shard engine.
+impl ShardTarget for EngineSnapshot {
+    fn search(
+        &self,
+        query: &[f64],
+        k: usize,
+        opts: &QueryOptions,
+        bound: &Arc<SharedBound>,
+    ) -> Result<SearchOutcome, OnexError> {
+        self.k_best_bounded(query, k, opts, bound)
+            .map(|(matches, stats)| crate::backends::outcome(matches, stats))
     }
 }
 
 /// The ONEX engine scaled across N shards behind the unified trait.
 ///
 /// Series are partitioned round-robin (series `i` → shard `i mod N`), so
-/// shards stay balanced regardless of load order. Queries fan out to
-/// every shard over a persistent worker pool (no per-query thread
-/// spawns), all shards of one query prune against one [`SharedBound`],
-/// and per-shard answers merge through [`BestK`] under the same
-/// length-normalised ranking the single engine uses. Per-shard
-/// [`BackendStats`] sum into one report — the shards index disjoint
-/// subsequence spaces, so the counters stay disjoint (their *values*
-/// depend on how fast the shards tightened each other's bounds; disable
-/// sharing via [`ShardedEngine::sharing_bound`] for scheduling-independent
-/// per-shard counters).
+/// shards stay balanced regardless of load order. Queries run on a
+/// [`FanOut`]; per-shard stats sum into one disjoint report (their
+/// *values* depend on how fast the shards tightened each other's bounds
+/// unless [`ShardedEngine::sharing_bound`] is off). Every answer carries
+/// full [`onex_api::Coverage`]: a failing shard fails the whole query.
 ///
 /// **Agreement caveat:** under an exact configuration the merged top-k
 /// carries the same windows at the same distances as the single engine
@@ -292,18 +129,14 @@ pub struct ShardedEngine {
     /// The shard engines themselves — stable for the engine's lifetime;
     /// appends go *through* them (each is its own [`Versioned`] cell).
     engines: Vec<Arc<Onex>>,
-    /// The published shard views + id maps. A query pins one read
-    /// transaction of this for its whole fan-out-and-merge, so every
-    /// shard answers from the same epoch; [`ShardedEngine::append_series`]
-    /// publishes the next map atomically after the owning shard commits.
-    state: Versioned<ShardMap>,
+    /// The published shard snapshots. A query pins one read transaction
+    /// of this for its whole fan-out and merge, so every shard answers
+    /// from the same epoch; [`ShardedEngine::append_series`] publishes
+    /// the next set atomically after the owning shard commits. Shard `s`
+    /// holds global series `g` with `g % N == s` as local id `g / N`.
+    state: Versioned<Vec<EngineSnapshot>>,
     opts: QueryOptions,
-    /// Share one query-global bound across the shards of each query
-    /// (default). `false` gives every shard an independent bound — the
-    /// pre-sharing behaviour, kept for diagnostics and bench E14's
-    /// before/after comparison.
-    share_bound: bool,
-    pool: ShardPool,
+    pool: FanOut<EngineSnapshot>,
 }
 
 impl ShardedEngine {
@@ -331,19 +164,15 @@ impl ShardedEngine {
         let shards = shards.min(dataset.len());
         let start = Instant::now();
 
-        // Round-robin partition, keeping both directions of the id map.
+        // Round-robin partition: global id `g` becomes shard `g % N`'s
+        // local id `g / N`.
         let mut parts: Vec<Vec<TimeSeries>> = vec![Vec::new(); shards];
-        let mut to_global: Vec<Vec<u32>> = vec![Vec::new(); shards];
         for (gid, series) in dataset.iter() {
-            let s = gid as usize % shards;
-            parts[s].push(series.clone());
-            to_global[s].push(gid);
+            parts[gid as usize % shards].push(series.clone());
         }
 
         // Build every shard in parallel; a panicking worker is reported
         // as a typed Internal error instead of aborting the process.
-        let mut built: Vec<Option<(Onex, BuildReport)>> = Vec::new();
-        let mut failure: Option<OnexError> = None;
         let results = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
@@ -360,52 +189,33 @@ impl ShardedEngine {
                 .map(|h| {
                     h.join()
                         .map_err(|_| OnexError::Internal("shard build worker panicked".into()))
+                        .and_then(|built| built)
                 })
                 .collect::<Vec<_>>()
         })
         .map_err(|_| OnexError::Internal("shard build scope panicked".into()))?;
-        for r in results {
-            match r {
-                Ok(Ok(pair)) => built.push(Some(pair)),
-                Ok(Err(e)) | Err(e) => {
-                    failure.get_or_insert(e);
-                    built.push(None);
-                }
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
 
         let mut per_shard = Vec::with_capacity(shards);
         let mut engines = Vec::with_capacity(shards);
-        let mut views = Vec::with_capacity(shards);
-        for (built, to_global) in built.into_iter().zip(to_global) {
-            let (engine, report) = built.expect("failures returned above");
+        for result in results {
+            let (engine, report) = result?;
             per_shard.push(report);
-            let engine = Arc::new(engine);
-            let to_local = to_global
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| (global, local as u32))
-                .collect();
-            views.push(ShardView {
-                snapshot: engine.snapshot(),
-                to_global,
-                to_local,
-            });
-            engines.push(engine);
+            engines.push(Arc::new(engine));
         }
-        let pool = ShardPool::new(engines.len());
+        let snapshots = engines.iter().map(|e| e.snapshot()).collect();
+        let pool = FanOut::new(
+            engines.len(),
+            FanOutPolicy {
+                share_bound: true,
+                deadline: REPLY_DEADLINE,
+                degrade: DegradePolicy::Fail,
+            },
+        );
         Ok((
             ShardedEngine {
                 engines,
-                state: Versioned::new(ShardMap {
-                    views,
-                    total_series: dataset.len(),
-                }),
+                state: Versioned::new(snapshots),
                 opts: QueryOptions::default(),
-                share_bound: true,
                 pool,
             },
             ShardedBuildReport {
@@ -415,16 +225,12 @@ impl ShardedEngine {
         ))
     }
 
-    /// Append a series to the sharded collection: the series lands on the
-    /// shard the round-robin partition assigns to its global id, that
-    /// shard's engine extends its own base ([`Onex::append_series`] —
-    /// build-aside, atomic publish), and then the shard map with the new
-    /// id translation and re-pinned snapshot is published atomically as
-    /// the sharded engine's next epoch.
-    ///
-    /// In-flight and concurrent queries are never blocked: they keep
-    /// answering from the shard map they pinned, every shard at that
-    /// map's epoch. A failed append publishes nothing at either level.
+    /// Append a series: it lands on the shard the round-robin partition
+    /// assigns to its global id, that shard's engine extends its own base
+    /// ([`Onex::append_series`]), and the re-pinned shard snapshots are
+    /// published atomically as the sharded engine's next epoch. Queries
+    /// are never blocked: they keep answering from the snapshots they
+    /// pinned. A failed append publishes nothing at either level.
     ///
     /// # Errors
     /// Same conditions as [`Onex::append_series`]; additionally
@@ -433,33 +239,27 @@ impl ShardedEngine {
     /// the collection, so the global uniqueness check lives here.
     pub fn append_series(&self, series: TimeSeries) -> Result<BuildReport, OnexError> {
         let mut txn = self.state.write();
-        let map = txn.value_mut();
-        if map
-            .views
+        let shards = txn.value_mut();
+        if shards
             .iter()
-            .any(|v| v.snapshot.dataset().by_name(series.name()).is_some())
+            .any(|s| s.dataset().by_name(series.name()).is_some())
         {
             return Err(OnexError::DatasetMismatch(format!(
                 "duplicate series name {:?}",
                 series.name()
             )));
         }
-        let gid = map.total_series as u32;
-        let s = gid as usize % self.engines.len();
+        let gid: usize = shards.iter().map(|s| s.dataset().len()).sum();
+        let s = gid % self.engines.len();
         // The shard engine commits its own epoch first; an error here
-        // drops our transaction with the map untouched.
+        // drops our transaction with the snapshots untouched.
         let report = self.engines[s].append_series(series)?;
-        let view = &mut map.views[s];
-        let local = view.to_global.len() as u32;
-        view.to_global.push(gid);
-        view.to_local.insert(gid, local);
-        view.snapshot = self.engines[s].snapshot();
-        map.total_series += 1;
+        shards[s] = self.engines[s].snapshot();
         txn.commit();
         Ok(report)
     }
 
-    /// The currently-published shard-map epoch (bumped by every committed
+    /// The currently-published shard-set epoch (bumped by every committed
     /// [`ShardedEngine::append_series`]).
     pub fn epoch(&self) -> Epoch {
         self.state.epoch()
@@ -475,17 +275,14 @@ impl ShardedEngine {
 
     /// Builder-style: share one query-global [`SharedBound`] across the
     /// shards of each query (`true`, the default) or give every shard an
-    /// independent bound (`false` — the pre-sharing behaviour, whose
-    /// per-shard work counters do not depend on scheduling; bench E14
-    /// measures both).
+    /// independent bound (`false`, whose per-shard work counters do not
+    /// depend on scheduling; bench E14 measures both).
     pub fn sharing_bound(mut self, share: bool) -> Self {
-        self.share_bound = share;
+        self.pool.policy.share_bound = share;
         self
     }
 
-    /// Counters of the persistent query-worker pool. `threads_spawned`
-    /// equals the shard count for the engine's whole lifetime — queries
-    /// are channel sends, never spawns.
+    /// Counters of the persistent per-shard query-worker lanes.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -497,149 +294,27 @@ impl ShardedEngine {
 
     /// Series count of each shard, in shard order (at the current epoch).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        let map = self.state.read();
-        map.views.iter().map(|v| v.to_global.len()).collect()
-    }
-
-    /// Translate the global-id query options into shard-local ids.
-    /// `None` means the shard cannot contribute at all (an `only_series`
-    /// filter pointing at a series another shard owns).
-    fn localize(&self, shard: &ShardView) -> Option<QueryOptions> {
-        let mut o = self.opts.clone();
-        o.exclude_series = o
-            .exclude_series
-            .and_then(|g| shard.to_local.get(&g).copied());
-        if let Some(global_only) = o.only_series {
-            match shard.to_local.get(&global_only) {
-                Some(&local) => o.only_series = Some(local),
-                None => return None,
-            }
-        }
-        o.exclude_windows = o
-            .exclude_windows
-            .iter()
-            .filter_map(|w| {
-                shard
-                    .to_local
-                    .get(&w.series)
-                    .map(|&local| SubseqRef::new(local, w.start, w.len))
-            })
-            .collect();
-        Some(o)
+        let shards = self.state.read();
+        shards.iter().map(|s| s.dataset().len()).collect()
     }
 
     /// Fan `query` out and return **each shard's own outcome** (in shard
     /// order, series ids still shard-local) — the per-shard view behind
-    /// [`SimilaritySearch::k_best`], exposed for diagnostics and the
-    /// bench harness's critical-path accounting: the slowest shard's
-    /// touched candidates (examined + pruned + distance computations)
-    /// bound the parallel query's critical path, so `single-engine
-    /// touches / max shard touches` is the speedup the decomposition
-    /// makes available independent of core count (bench E13's
-    /// machine-independent speedup column).
-    ///
-    /// Jobs run on the engine's persistent worker pool — no threads are
-    /// spawned per query — and (unless [`ShardedEngine::sharing_bound`]
-    /// disabled it) all prune against one fresh [`SharedBound`] seeded at
-    /// `∞` for this query: the first shard to fill its k-heap publishes
-    /// its k-th best, every other shard observes it mid-scan. With
-    /// sharing on, per-shard *work counters* therefore depend on how the
-    /// shards interleaved; the merged *matches* do not (exact up to
-    /// distance ties).
+    /// [`SimilaritySearch::k_best`]. The slowest shard's touched
+    /// candidates bound the parallel query's critical path, so
+    /// `single-engine touches / max shard touches` is the speedup the
+    /// decomposition makes available independent of core count (bench
+    /// E13's machine-independent speedup column).
     ///
     /// # Errors
     /// Same conditions as [`SimilaritySearch::k_best`], plus
     /// [`OnexError::Internal`] when the pool is gone or a reply is lost.
     pub fn shard_outcomes(&self, query: &[f64], k: usize) -> Result<Vec<SearchOutcome>, OnexError> {
-        let map = self.state.read();
-        self.fanout(&map, query, k)
-    }
-
-    /// The fan-out against one pinned shard map: every job carries a
-    /// snapshot from `map`, so all shards of this query answer from the
-    /// same epoch.
-    fn fanout(
-        &self,
-        map: &ShardMap,
-        query: &[f64],
-        k: usize,
-    ) -> Result<Vec<SearchOutcome>, OnexError> {
-        validate_query(query, k)?;
-        let query: Arc<[f64]> = Arc::from(query);
-        // One fresh bound per logical query — never reused across
-        // queries, so concurrent queries cannot contaminate each other.
-        let shared = Arc::new(SharedBound::new());
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded(map.views.len().max(1));
-        for (index, shard) in map.views.iter().enumerate() {
-            let bound = if self.share_bound {
-                Arc::clone(&shared)
-            } else {
-                Arc::new(SharedBound::new())
-            };
-            self.pool.submit(ShardJob {
-                index,
-                snapshot: shard.snapshot.clone(),
-                opts: self.localize(shard),
-                query: Arc::clone(&query),
-                k,
-                bound,
-                reply: reply_tx.clone(),
-            })?;
-        }
-        drop(reply_tx);
-        // Collect exactly one reply per shard. Workers always reply
-        // (panics are caught into typed errors), so the timeout is a
-        // guard against a lost pool, not a query SLA.
-        let mut outcomes: Vec<Option<SearchOutcome>> = (0..map.views.len()).map(|_| None).collect();
-        for _ in 0..map.views.len() {
-            let (index, result) = reply_rx
-                .recv_timeout(Duration::from_secs(300))
-                .map_err(|_| OnexError::Internal("shard query reply lost".into()))?;
-            outcomes[index] = Some(result?);
-        }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every shard replied exactly once"))
-            .collect())
-    }
-
-    fn merge(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        // Merge through the shared bounded accumulator under the same
-        // length-normalised ranking the single engine uses; per-shard
-        // stats sum into one disjoint report. One read transaction pins
-        // the shard map for both the fan-out and the id translation — a
-        // concurrent append cannot give this query a mixed-epoch answer.
-        let map = self.state.read();
-        let outcomes = self.fanout(&map, query, k)?;
-        let mut acc: BestK<(u32, usize, usize, u64)> = BestK::new(k);
-        let mut stats = BackendStats::default();
-        for (shard, outcome) in map.views.iter().zip(outcomes) {
-            stats += outcome.stats;
-            for m in outcome.matches {
-                let global = shard.to_global[m.series as usize];
-                acc.offer(
-                    normalize(m.distance, query.len(), m.len),
-                    (global, m.start, m.len, m.distance.to_bits()),
-                );
-            }
-        }
-        Ok(SearchOutcome {
-            matches: acc
-                .into_sorted()
-                .into_iter()
-                .map(|(_, (series, start, len, bits))| BackendMatch {
-                    series,
-                    start,
-                    len,
-                    distance: f64::from_bits(bits),
-                })
-                .collect(),
-            stats,
-            // In-process shards share one fate — the pool either answers
-            // over all of them or propagates the failure — so coverage
-            // stays untracked here.
-            coverage: None,
-        })
+        let shards = self.state.read();
+        let replies = self
+            .pool
+            .replies(shards.iter().cloned(), query, k, &self.opts)?;
+        replies.into_iter().collect()
     }
 }
 
@@ -668,7 +343,12 @@ impl SimilaritySearch for ShardedEngine {
     }
 
     fn k_best(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        self.merge(query, k)
+        // One read transaction pins every shard for the whole fan-out and
+        // merge — a concurrent append cannot give this query a
+        // mixed-epoch answer.
+        let shards = self.state.read();
+        self.pool
+            .search(shards.iter().cloned(), query, k, &self.opts)
     }
 
     fn epoch(&self) -> Epoch {
@@ -937,6 +617,7 @@ mod tests {
     use super::*;
     use crate::backends::OnexBackend;
     use crate::LengthSelection;
+    use onex_api::BackendStats;
     use onex_tseries::gen::{random_walk_dataset, SyntheticConfig};
 
     const LEN: usize = 16;
@@ -974,15 +655,14 @@ mod tests {
         assert!(sizes.iter().all(|&s| s == 2 || s == 3), "{sizes:?}");
         assert_eq!(report.per_shard.len(), 4);
         assert!(report.subsequences() > 0);
-        // Every global id appears in exactly one shard.
-        let map = sharded.state.read();
-        let mut seen = std::collections::HashSet::new();
-        for view in &map.views {
-            for &g in &view.to_global {
-                assert!(seen.insert(g), "series {g} in two shards");
+        // Shard `s` holds global series `g` with `g % 4 == s` as local
+        // id `g / 4` — the identity the executor's remap relies on.
+        for (s, shard) in sharded.state.read().iter().enumerate() {
+            for (local, series) in shard.dataset().iter() {
+                let global = ds.series(local * 4 + s as u32).unwrap();
+                assert_eq!(series.name(), global.name());
             }
         }
-        assert_eq!(seen.len(), 10);
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! [`ClusterEngine`]: N remote shard slots composed behind one
-//! [`SimilaritySearch`] — the cross-process sibling of
-//! `onex_core::ShardedEngine`, built from the same three pieces: a
-//! fan-out over a persistent worker pool, one fresh query-global
-//! [`SharedBound`], and a `BestK` merge under the length-normalised
-//! ranking the single engine uses.
+//! [`SimilaritySearch`], on the same fan-out executor ([`FanOut`]) as
+//! `onex_core::ShardedEngine`. The executor owns the worker lanes, the
+//! per-query [`SharedBound`], the deadline, the [`DegradePolicy`] check
+//! and the merge; this module supplies the shard target — a slot of
+//! replicas with failover, breakers and hedging — and the probe thread.
 //!
-//! The difference is where the bound lives. In-process, every shard
-//! prunes against the same atomic. Across processes the atomic cannot be
-//! shared, so each [`RemoteBackend`] *gossips*: tightenings a shard
-//! discovers stream back to this client, land in the query's shared
-//! bound, and the other shards' in-flight pumps push them onward. The
-//! bound stays monotone end to end, so gossip can only ever prune
-//! candidates that a tighter local bound would also have pruned — it
-//! never costs an answer.
+//! Across processes the bound cannot be one atomic, so each
+//! [`RemoteBackend`] *gossips*: tightenings a shard discovers stream back
+//! to this client, land in the query's shared bound, and the other
+//! shards' in-flight pumps push them onward. The bound stays monotone end
+//! to end, so gossip never costs an answer.
 //!
 //! ## Fault tolerance
 //!
@@ -27,44 +24,39 @@
 //! again. Optionally a query **hedges**: if the preferred replica has
 //! not answered within [`ClusterConfig::hedge_after`], the same request
 //! is raced against the next live replica and the first answer wins —
-//! the loser is cancelled by collapsing its private bound to zero, which
-//! makes its remaining search trivially prunable.
+//! a losing backup is cancelled by collapsing its private bound to zero,
+//! which makes its remaining search trivially prunable.
 //!
 //! When a whole slot is down, [`DegradePolicy`] decides: `Fail`
 //! propagates the slot's typed error (the strict historical behaviour),
 //! `Partial` answers over the surviving shards, `Quorum(q)` demands at
 //! least `q` surviving slots. Degraded answers are *typed*: the outcome
-//! carries [`Coverage`] so callers can tell 5-of-8 from 8-of-8 without
-//! guessing from match counts.
+//! carries [`Coverage`](onex_api::Coverage) so callers can tell 5-of-8
+//! from 8-of-8 without guessing from match counts.
 //!
 //! ## Identity
 //!
 //! The cluster assumes the collection was partitioned **round-robin**:
 //! global series `g` lives on slot `g % N` as local id `g / N` — the
 //! exact partition `ShardedEngine` applies in-process (and what the
-//! `onex_server --shard-serve` operator docs prescribe). Global ids are
-//! reconstructed as `local * N + slot`. Replicas of one slot host the
-//! same partition.
+//! `onex_server --shard-serve` operator docs prescribe). Replicas of one
+//! slot host the same partition.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::bounded;
 use onex_api::{
-    validate_query, BackendMatch, BackendStats, BestK, Capabilities, Coverage, DegradePolicy,
-    Epoch, Metric, NetworkErrorKind, OnexError, SearchOutcome, SharedBound, SimilaritySearch,
+    Capabilities, DegradePolicy, Epoch, Metric, NetworkErrorKind, OnexError, SearchOutcome,
+    SharedBound, SimilaritySearch,
 };
-use onex_core::{normalized_distance, PoolStats, QueryOptions, ScanBreadth};
-use onex_tseries::SubseqRef;
+use onex_core::{FanOut, FanOutPolicy, PoolStats, QueryOptions, ScanBreadth, ShardTarget};
 use parking_lot::Mutex;
 
 use crate::client::{RemoteBackend, RemoteConfig, RemoteInfo};
 use crate::health::{Breaker, BreakerConfig, BreakerSnapshot, BreakerState};
-
-/// What one shard worker sends back: its slot index plus the remote's
-/// outcome and epoch (or the typed failure).
-type ShardReply = (usize, Result<(SearchOutcome, Epoch), OnexError>);
 
 /// Cluster-level tuning: everything beyond the per-connection
 /// [`RemoteConfig`].
@@ -111,42 +103,47 @@ struct Replica {
 
 /// One shard slot: the replicas hosting one round-robin partition, in
 /// preference order.
+#[derive(Default)]
 struct Slot {
     index: usize,
     replicas: Vec<Replica>,
+    hedges_fired: AtomicUsize,
+    hedge_wins: AtomicUsize,
 }
 
-impl Slot {
-    /// Highest epoch any replica of this slot last reported.
-    fn last_epoch(&self) -> Epoch {
-        self.replicas
-            .iter()
-            .map(|r| r.remote.epoch())
-            .max()
-            .unwrap_or(0)
+/// A slot as one query's fan-out target. The executor drops it after
+/// delivering its reply, so joining a hedge race's straggler here never
+/// delays the query.
+struct SlotTarget {
+    slot: Arc<Slot>,
+    hedge_after: Option<Duration>,
+    stragglers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Drop for SlotTarget {
+    fn drop(&mut self) {
+        // A panicked attempt already cost its race a reply.
+        for h in self.stragglers.get_mut().drain(..) {
+            let _ = h.join();
+        }
     }
 }
 
-struct ClusterJob {
-    index: usize,
-    query: Arc<[f64]>,
-    k: usize,
-    /// `None`: this slot cannot contribute (an `only_series` filter
-    /// pointing at another slot) — answered locally, no network.
-    opts: Option<QueryOptions>,
-    bound: Arc<SharedBound>,
-    hedge_after: Option<Duration>,
-    reply: Sender<ShardReply>,
-    /// Test hook: a poison job makes the worker thread exit, simulating
-    /// a lane death the respawn path must absorb.
-    poison: bool,
-}
-
-/// One worker lane: the sender plus the join handle, respawnable when
-/// the worker dies.
-struct Lane {
-    tx: Sender<ClusterJob>,
-    handle: Option<std::thread::JoinHandle<()>>,
+impl ShardTarget for SlotTarget {
+    fn search(
+        &self,
+        query: &[f64],
+        k: usize,
+        opts: &QueryOptions,
+        bound: &Arc<SharedBound>,
+    ) -> Result<SearchOutcome, OnexError> {
+        let req = Request {
+            query: Arc::from(query),
+            k,
+            opts: opts.clone(),
+        };
+        execute(self, &req, bound)
+    }
 }
 
 /// Health of one replica, for `/api/health` and the resilience bench.
@@ -171,24 +168,14 @@ pub struct SlotHealth {
 /// backed by one or more replica servers.
 pub struct ClusterEngine {
     slots: Vec<Arc<Slot>>,
-    /// One worker lane per slot: a slot's queries are serial over its
-    /// replica connections anyway, so per-slot workers replace a
-    /// contended MPMC queue with N independent SPSC lanes. Lanes respawn
-    /// when a worker dies — a poisoned worker costs at most one reply,
-    /// never the engine.
-    lanes: Vec<Mutex<Lane>>,
-    threads_spawned: Arc<AtomicUsize>,
-    jobs_executed: Arc<AtomicUsize>,
-    hedges_fired: Arc<AtomicUsize>,
-    hedge_wins: Arc<AtomicUsize>,
+    /// The shared executor: one worker lane per slot, plus the bound
+    /// sharing (gossip), deadline and degrade policy.
+    pool: FanOut<SlotTarget>,
     /// Series count per slot, maintained across appends — the source of
     /// round-robin routing for new series.
     sizes: Mutex<Vec<u64>>,
     infos: Vec<RemoteInfo>,
     opts: QueryOptions,
-    share_bound: bool,
-    degrade: DegradePolicy,
-    deadline: Duration,
     hedge_after: Option<Duration>,
     probe_stop: Arc<AtomicBool>,
     probe_handle: Option<std::thread::JoinHandle<()>>,
@@ -249,23 +236,18 @@ impl ClusterEngine {
             // The slot identity comes from the first replica that
             // answers; dead replicas are recorded on their breakers but
             // only a fully dead slot fails the connect.
-            let mut info = None;
             let mut first_err = None;
-            for rep in &replicas {
-                match rep.remote.info() {
-                    Ok(i) => {
-                        rep.breaker.on_success(Duration::ZERO);
-                        info = Some(i);
-                        break;
-                    }
-                    Err(e) => {
-                        rep.breaker.on_failure();
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
+            let info = replicas.iter().find_map(|rep| match rep.remote.info() {
+                Ok(i) => {
+                    rep.breaker.on_success(Duration::ZERO);
+                    Some(i)
                 }
-            }
+                Err(e) => {
+                    rep.breaker.on_failure();
+                    first_err.get_or_insert(e);
+                    None
+                }
+            });
             let Some(info) = info else {
                 return Err(first_err.unwrap_or_else(|| {
                     OnexError::network(
@@ -275,27 +257,22 @@ impl ClusterEngine {
                 }));
             };
             infos.push(info);
-            slots.push(Arc::new(Slot { index, replicas }));
+            slots.push(Arc::new(Slot {
+                index,
+                replicas,
+                ..Slot::default()
+            }));
         }
         let sizes = infos.iter().map(|i| i.series).collect();
 
-        let threads_spawned = Arc::new(AtomicUsize::new(0));
-        let jobs_executed = Arc::new(AtomicUsize::new(0));
-        let hedges_fired = Arc::new(AtomicUsize::new(0));
-        let hedge_wins = Arc::new(AtomicUsize::new(0));
-        let lanes = slots
-            .iter()
-            .map(|slot| {
-                Mutex::new(spawn_lane(
-                    Arc::clone(slot),
-                    Arc::clone(&jobs_executed),
-                    Arc::clone(&hedges_fired),
-                    Arc::clone(&hedge_wins),
-                    Arc::clone(&threads_spawned),
-                ))
-            })
-            .collect();
-
+        let pool = FanOut::new(
+            slots.len(),
+            FanOutPolicy {
+                share_bound: true,
+                deadline: config.query_deadline,
+                degrade: config.degrade,
+            },
+        );
         let probe_stop = Arc::new(AtomicBool::new(false));
         let probe_handle = config
             .probe_interval
@@ -303,17 +280,10 @@ impl ClusterEngine {
 
         Ok(ClusterEngine {
             slots,
-            lanes,
-            threads_spawned,
-            jobs_executed,
-            hedges_fired,
-            hedge_wins,
+            pool,
             sizes: Mutex::new(sizes),
             infos,
             opts: QueryOptions::default(),
-            share_bound: true,
-            degrade: config.degrade,
-            deadline: config.query_deadline,
             hedge_after: config.hedge_after,
             probe_stop,
             probe_handle,
@@ -331,19 +301,19 @@ impl ClusterEngine {
     /// every shard prunes against a private bound — the ablation mode
     /// bench e16 measures against.
     pub fn gossip(mut self, share: bool) -> Self {
-        self.share_bound = share;
+        self.pool.policy.share_bound = share;
         self
     }
 
     /// Builder-style degrade policy (default [`DegradePolicy::Fail`]).
     pub fn degrade(mut self, policy: DegradePolicy) -> Self {
-        self.degrade = policy;
+        self.pool.policy.degrade = policy;
         self
     }
 
     /// Builder-style per-query reply deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
+        self.pool.policy.deadline = deadline;
         self
     }
 
@@ -360,7 +330,7 @@ impl ClusterEngine {
 
     /// The active degrade policy.
     pub fn degrade_policy(&self) -> DegradePolicy {
-        self.degrade
+        self.pool.policy.degrade
     }
 
     /// Replica addresses per slot, in preference order — the cluster's
@@ -392,22 +362,17 @@ impl ClusterEngine {
 
     /// `(hedges fired, hedges the backup won)` over the engine lifetime.
     pub fn hedge_counters(&self) -> (usize, usize) {
-        (
-            self.hedges_fired.load(Ordering::Relaxed),
-            self.hedge_wins.load(Ordering::Relaxed),
-        )
+        self.slots.iter().fold((0, 0), |(f, w), s| {
+            (
+                f + s.hedges_fired.load(Ordering::Relaxed),
+                w + s.hedge_wins.load(Ordering::Relaxed),
+            )
+        })
     }
 
-    /// Counters of the persistent per-slot worker pool.
-    /// `threads_spawned` equals the slot count for the engine's whole
-    /// lifetime unless a lane died and was respawned — queries are
-    /// channel sends, never spawns.
+    /// Counters of the persistent per-slot worker lanes.
     pub fn pool_stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.lanes.len(),
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-        }
+        self.pool.stats()
     }
 
     /// Aggregate `(sent, received)` gossip tighten-frame counters across
@@ -469,392 +434,61 @@ impl ClusterEngine {
     /// next query transparently respawns the lane.
     #[doc(hidden)]
     pub fn debug_kill_worker(&self, index: usize) {
-        if let Some(lane) = self.lanes.get(index) {
-            let (reply, _keep) = bounded(1);
-            let mut lane = lane.lock();
-            let _ = lane.tx.send(ClusterJob {
-                index,
-                query: Arc::from(Vec::new()),
-                k: 0,
-                opts: None,
-                bound: Arc::new(SharedBound::new()),
-                hedge_after: None,
-                reply,
-                poison: true,
-            });
-            if let Some(h) = lane.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
-    /// Translate the global-id option set into slot `s`'s local ids
-    /// under the round-robin partition; `None` when the slot cannot
-    /// contribute at all.
-    fn localize(&self, s: usize) -> Option<QueryOptions> {
-        let n = self.slots.len() as u32;
-        let s32 = s as u32;
-        let mut o = self.opts.clone();
-        o.exclude_series = o
-            .exclude_series
-            .and_then(|g| (g % n == s32).then_some(g / n));
-        if let Some(g) = o.only_series {
-            if g % n != s32 {
-                return None;
-            }
-            o.only_series = Some(g / n);
-        }
-        o.exclude_windows = o
-            .exclude_windows
-            .iter()
-            .filter(|w| w.series % n == s32)
-            .map(|w| SubseqRef::new(w.series / n, w.start, w.len))
-            .collect();
-        Some(o)
-    }
-
-    /// Send `job` down slot `index`'s lane, respawning the lane once if
-    /// its worker died — the pool-level mirror of the accept loop's
-    /// per-connection panic isolation.
-    fn send_job(&self, index: usize, job: ClusterJob) -> Result<(), OnexError> {
-        let mut lane = self.lanes[index].lock();
-        let job = match lane.tx.send(job) {
-            Ok(()) => return Ok(()),
-            Err(e) => e.0,
-        };
-        let old = std::mem::replace(
-            &mut *lane,
-            spawn_lane(
-                Arc::clone(&self.slots[index]),
-                Arc::clone(&self.jobs_executed),
-                Arc::clone(&self.hedges_fired),
-                Arc::clone(&self.hedge_wins),
-                Arc::clone(&self.threads_spawned),
-            ),
-        );
-        if let Some(h) = old.handle {
-            let _ = h.join();
-        }
-        lane.tx
-            .send(job)
-            .map_err(|_| OnexError::Internal("cluster worker pool exited".into()))
-    }
-
-    /// Fan out, gossip, collect, merge — the cross-process mirror of
-    /// `ShardedEngine::merge`, with the degrade policy deciding what a
-    /// missing slot costs.
-    fn merge(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        validate_query(query, k)?;
-        let n = self.slots.len();
-        let query: Arc<[f64]> = Arc::from(query);
-        // One fresh bound per logical query — never reused across
-        // queries, so concurrent queries cannot contaminate each other.
-        let shared = Arc::new(SharedBound::new());
-        let (reply_tx, reply_rx) = bounded(n);
-        for index in 0..n {
-            let bound = if self.share_bound {
-                Arc::clone(&shared)
-            } else {
-                Arc::new(SharedBound::new())
-            };
-            self.send_job(
-                index,
-                ClusterJob {
-                    index,
-                    query: Arc::clone(&query),
-                    k,
-                    opts: self.localize(index),
-                    bound,
-                    hedge_after: self.hedge_after,
-                    reply: reply_tx.clone(),
-                    poison: false,
-                },
-            )?;
-        }
-        drop(reply_tx);
-
-        let started = Instant::now();
-        let mut acc: BestK<(u32, usize, usize, u64)> = BestK::new(k);
-        let mut stats = BackendStats::default();
-        let mut answered: u32 = 0;
-        let mut first_err: Option<OnexError> = None;
-        for collected in 0..n {
-            let remaining = self
-                .deadline
-                .checked_sub(started.elapsed())
-                .unwrap_or(Duration::ZERO);
-            let (index, result) = match reply_rx.recv_timeout(remaining) {
-                Ok(reply) => reply,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every outstanding job died without replying — a
-                    // pool defect, not a slow network.
-                    return Err(OnexError::Internal("cluster query reply lost".into()));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Collapse the query bound so in-flight shard work
-                    // finishes trivially instead of computing for a
-                    // caller that already gave up.
-                    shared.tighten(0.0);
-                    return Err(OnexError::network(
-                        NetworkErrorKind::Timeout,
-                        format!(
-                            "cluster reply deadline {:?} passed with {collected}/{n} shard replies",
-                            self.deadline
-                        ),
-                    ));
-                }
-            };
-            match result {
-                Ok((outcome, _epoch)) => {
-                    answered += 1;
-                    stats += outcome.stats;
-                    for m in outcome.matches {
-                        let global = m.series * (n as u32) + index as u32;
-                        acc.offer(
-                            normalized_distance(m.distance, query.len(), m.len),
-                            (global, m.start, m.len, m.distance.to_bits()),
-                        );
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        let total = n as u32;
-        if answered < self.degrade.required(total) {
-            return Err(first_err.unwrap_or_else(|| {
-                OnexError::network(NetworkErrorKind::Unreachable, "no shard slot answered")
-            }));
-        }
-        Ok(SearchOutcome {
-            matches: acc
-                .into_sorted()
-                .into_iter()
-                .map(|(_, (series, start, len, bits))| BackendMatch {
-                    series,
-                    start,
-                    len,
-                    distance: f64::from_bits(bits),
-                })
-                .collect(),
-            stats,
-            coverage: Some(Coverage {
-                shards_answered: answered,
-                shards_total: total,
-            }),
-        })
+        self.pool.kill_worker(index);
     }
 }
 
-/// Spawn one slot worker lane.
-fn spawn_lane(
-    slot: Arc<Slot>,
-    jobs: Arc<AtomicUsize>,
-    hedges_fired: Arc<AtomicUsize>,
-    hedge_wins: Arc<AtomicUsize>,
-    threads_spawned: Arc<AtomicUsize>,
-) -> Lane {
-    let (tx, rx) = bounded::<ClusterJob>(2);
-    threads_spawned.fetch_add(1, Ordering::Relaxed);
-    let handle = std::thread::Builder::new()
-        .name(format!("cluster-slot-{}", slot.index))
-        .spawn(move || {
-            while let Ok(job) = rx.recv() {
-                if job.poison {
-                    return;
-                }
-                jobs.fetch_add(1, Ordering::Relaxed);
-                execute(&slot, &job, &hedges_fired, &hedge_wins);
-            }
-        })
-        .expect("spawn cluster lane");
-    Lane {
-        tx,
-        handle: Some(handle),
-    }
-}
-
-fn is_network(e: &OnexError) -> bool {
-    matches!(e, OnexError::Network(_))
-}
-
-/// One attempt against one replica, with breaker bookkeeping. A panic
-/// inside the client costs one reply, not a pool lane.
-fn attempt(
-    rep: &Replica,
-    job: &ClusterJob,
-    opts: &QueryOptions,
-    bound: Arc<SharedBound>,
-) -> Result<(SearchOutcome, Epoch), OnexError> {
+/// One attempt against one replica, with breaker bookkeeping.
+fn attempt(rep: &Replica, req: &Request, bound: &SharedBound) -> Result<SearchOutcome, OnexError> {
     let t0 = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        rep.remote
-            .k_best_bounded_with(&job.query, job.k, opts, &bound)
-    }))
-    .unwrap_or_else(|_| {
-        Err(OnexError::Internal(
-            "cluster replica attempt panicked".into(),
-        ))
-    });
+    let result = rep
+        .remote
+        .k_best_bounded_with(&req.query, req.k, &req.opts, bound);
     match &result {
         Ok(_) => rep.breaker.on_success(t0.elapsed()),
         // Only wire faults say something about replica health; an
         // engine-side rejection (bad query) is a healthy answer.
-        Err(e) if is_network(e) => rep.breaker.on_failure(),
+        Err(OnexError::Network(_)) => rep.breaker.on_failure(),
         Err(_) => {}
     }
-    result
-}
-
-/// How a hedged race ended, as seen by the failover loop.
-enum RaceEnd {
-    /// The winning reply was already sent (before joining the loser).
-    Sent,
-    /// The primary finished (no hedge fired, or fired with no live
-    /// backup); its result still needs the normal failover handling.
-    Primary(Result<(SearchOutcome, Epoch), OnexError>),
-    /// Primary and backup both failed.
-    BothFailed(OnexError, OnexError),
+    result.map(|(outcome, _epoch)| outcome)
 }
 
 /// Run one slot's query: failover across replicas in preference order,
-/// with optional hedging. Sends exactly one reply.
-fn execute(slot: &Slot, job: &ClusterJob, hedges_fired: &AtomicUsize, hedge_wins: &AtomicUsize) {
-    let send_reply =
-        |r: Result<(SearchOutcome, Epoch), OnexError>| drop(job.reply.send((job.index, r)));
-    let Some(opts) = job.opts.as_ref() else {
-        send_reply(Ok((SearchOutcome::default(), slot.last_epoch())));
-        return;
-    };
+/// with optional hedging.
+fn execute(
+    target: &SlotTarget,
+    req: &Request,
+    bound: &Arc<SharedBound>,
+) -> Result<SearchOutcome, OnexError> {
+    let slot = &target.slot;
     let reps = &slot.replicas;
     let mut last_err: Option<OnexError> = None;
     let mut i = 0usize;
     while i < reps.len() {
-        let rep = &reps[i];
+        let primary = i;
         i += 1;
-        if !rep.breaker.admit() {
+        if !reps[primary].breaker.admit() {
             continue;
         }
-        let hedge = job.hedge_after.filter(|_| i < reps.len());
-        let raced = match hedge {
-            None => RaceEnd::Primary(attempt(rep, job, opts, Arc::clone(&job.bound))),
-            Some(after) => crossbeam::thread::scope(|s| {
-                let (atx, arx) = bounded::<(bool, Result<(SearchOutcome, Epoch), OnexError>)>(2);
-                {
-                    let atx = atx.clone();
-                    s.spawn(move |_| {
-                        let _ = atx.send((false, attempt(rep, job, opts, Arc::clone(&job.bound))));
-                    });
-                }
-                match arx.recv_timeout(after) {
-                    Ok((_, r)) => RaceEnd::Primary(r),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        RaceEnd::Primary(Err(OnexError::Internal("hedge primary vanished".into())))
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Fire the hedge at the next live replica. The
-                        // backup prunes against a *private* bound seeded
-                        // from the shared one: collapsing it later
-                        // cancels only the loser, never the query.
-                        let mut backup_bound = None;
-                        while i < reps.len() {
-                            let b = &reps[i];
-                            i += 1;
-                            if b.breaker.admit() {
-                                hedges_fired.fetch_add(1, Ordering::Relaxed);
-                                let bb = Arc::new(SharedBound::new());
-                                bb.tighten(job.bound.get());
-                                backup_bound = Some(Arc::clone(&bb));
-                                let atx = atx.clone();
-                                s.spawn(move |_| {
-                                    let _ = atx.send((true, attempt(b, job, opts, bb)));
-                                });
-                                break;
-                            }
-                        }
-                        let Some(bb) = backup_bound else {
-                            // No live backup: just wait the primary out.
-                            return match arx.recv() {
-                                Ok((_, r)) => RaceEnd::Primary(r),
-                                Err(_) => RaceEnd::Primary(Err(OnexError::Internal(
-                                    "hedge primary vanished".into(),
-                                ))),
-                            };
-                        };
-                        let (first_is_backup, r1) = arx.recv().unwrap_or((
-                            false,
-                            Err(OnexError::Internal("hedge race vanished".into())),
-                        ));
-                        match r1 {
-                            Ok(x) => {
-                                if first_is_backup {
-                                    hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    // Cancel the losing backup: a zero
-                                    // bound prunes everything, so it
-                                    // finishes trivially.
-                                    bb.tighten(0.0);
-                                }
-                                // Deliver before the scope joins the
-                                // loser — the caller must not wait for a
-                                // cancelled straggler.
-                                send_reply(Ok(x));
-                                RaceEnd::Sent
-                            }
-                            Err(e1) => match arx.recv() {
-                                Ok((second_is_backup, Ok(x))) => {
-                                    if second_is_backup {
-                                        hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    send_reply(Ok(x));
-                                    RaceEnd::Sent
-                                }
-                                Ok((_, Err(e2))) => RaceEnd::BothFailed(e1, e2),
-                                Err(_) => RaceEnd::BothFailed(
-                                    e1,
-                                    OnexError::Internal("hedge race vanished".into()),
-                                ),
-                            },
-                        }
-                    }
-                }
-            })
-            .unwrap_or_else(|_| {
-                RaceEnd::Primary(Err(OnexError::Internal("hedge scope panicked".into())))
-            }),
+        let answered = match target.hedge_after.filter(|_| i < reps.len()) {
+            None => attempt(&reps[primary], req, bound).map_err(|e| vec![e]),
+            Some(after) => race(target, req, bound, primary, &mut i, after),
         };
-        match raced {
-            RaceEnd::Sent => return,
-            RaceEnd::Primary(Ok(x)) => {
-                send_reply(Ok(x));
-                return;
+        let errors = match answered {
+            Ok(outcome) => return Ok(outcome),
+            Err(errors) => errors,
+        };
+        for e in errors {
+            // Engine-side errors (bad query, panic) are not fixed by
+            // trying another replica; typed wire faults fail over.
+            if !matches!(e, OnexError::Network(_)) {
+                return Err(e);
             }
-            RaceEnd::Primary(Err(e)) => {
-                if is_network(&e) {
-                    // Typed wire fault: fail over to the next replica.
-                    last_err = Some(e);
-                } else {
-                    // Engine-side errors (bad query, panic) are not
-                    // fixed by trying another replica.
-                    send_reply(Err(e));
-                    return;
-                }
-            }
-            RaceEnd::BothFailed(e1, e2) => {
-                for e in [e1, e2] {
-                    if !is_network(&e) {
-                        send_reply(Err(e));
-                        return;
-                    }
-                    last_err = Some(e);
-                }
-            }
+            last_err = Some(e);
         }
     }
-    send_reply(Err(last_err.unwrap_or_else(|| {
+    Err(last_err.unwrap_or_else(|| {
         OnexError::network(
             NetworkErrorKind::Unreachable,
             format!(
@@ -863,7 +497,79 @@ fn execute(slot: &Slot, job: &ClusterJob, hedges_fired: &AtomicUsize, hedge_wins
                 slot.replicas.len()
             ),
         )
-    })));
+    }))
+}
+
+/// One slot query, owned so a hedged attempt can outlive its race.
+#[derive(Clone)]
+struct Request {
+    query: Arc<[f64]>,
+    k: usize,
+    opts: QueryOptions,
+}
+
+/// Race the primary replica against the next live one once `after`
+/// passes without an answer; the first answer wins. Attempts run on
+/// threads the target joins when dropped, so the winner returns without
+/// waiting for the loser. On failure, returns every attempt's error in
+/// arrival order.
+fn race(
+    target: &SlotTarget,
+    req: &Request,
+    bound: &Arc<SharedBound>,
+    primary: usize,
+    next: &mut usize,
+    after: Duration,
+) -> Result<SearchOutcome, Vec<OnexError>> {
+    let slot = &target.slot;
+    let (tx, rx) = bounded(2);
+    // Each reply is tagged with whether the hedge backup sent it.
+    let spawn = |rep: usize, bound: Arc<SharedBound>, backup: bool| {
+        let (slot, req, tx) = (Arc::clone(slot), req.clone(), tx.clone());
+        target.stragglers.lock().push(std::thread::spawn(move || {
+            let _ = tx.send((backup, attempt(&slot.replicas[rep], &req, &bound)));
+        }));
+    };
+    spawn(primary, Arc::clone(bound), false);
+    if let Ok((_, r)) = rx.recv_timeout(after) {
+        return r.map_err(|e| vec![e]);
+    }
+    // Fire the hedge at the next live replica. The backup prunes against
+    // a *private* bound seeded from the query's: collapsing it later
+    // cancels only the loser, never the query.
+    let mut backup = None;
+    while backup.is_none() && *next < slot.replicas.len() {
+        let b = *next;
+        *next += 1;
+        if slot.replicas[b].breaker.admit() {
+            slot.hedges_fired.fetch_add(1, Ordering::Relaxed);
+            let bb = Arc::new(SharedBound::new());
+            bb.tighten(bound.get());
+            spawn(b, Arc::clone(&bb), true);
+            backup = Some(bb);
+        }
+    }
+    drop(tx);
+    let mut errors = Vec::new();
+    while let Ok((from_backup, r)) = rx.recv() {
+        match r {
+            Ok(outcome) => {
+                if from_backup {
+                    slot.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                } else if let Some(bb) = &backup {
+                    // Cancel the losing backup: a zero bound prunes
+                    // everything, so it finishes trivially.
+                    bb.tighten(0.0);
+                }
+                return Ok(outcome);
+            }
+            Err(e) => errors.push(e),
+        }
+    }
+    if errors.is_empty() {
+        errors.push(OnexError::Internal("hedge race vanished".into()));
+    }
+    Err(errors)
 }
 
 /// The background breaker-probe loop: every `interval`, each non-closed
@@ -918,8 +624,8 @@ impl std::fmt::Debug for ClusterEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterEngine")
             .field("topology", &self.topology())
-            .field("gossip", &self.share_bound)
-            .field("degrade", &self.degrade)
+            .field("gossip", &self.pool.policy.share_bound)
+            .field("degrade", &self.pool.policy.degrade)
             .finish_non_exhaustive()
     }
 }
@@ -929,16 +635,6 @@ impl Drop for ClusterEngine {
         self.probe_stop.store(true, Ordering::Release);
         if let Some(h) = self.probe_handle.take() {
             let _ = h.join();
-        }
-        // Closing the lanes wakes every worker out of `recv`; join so no
-        // worker outlives the engine half-way through a send.
-        for lane in &self.lanes {
-            let mut lane = lane.lock();
-            let dead = bounded::<ClusterJob>(1).0;
-            drop(std::mem::replace(&mut lane.tx, dead));
-            if let Some(h) = lane.handle.take() {
-                let _ = h.join();
-            }
         }
     }
 }
@@ -968,13 +664,19 @@ impl SimilaritySearch for ClusterEngine {
     }
 
     fn k_best(&self, query: &[f64], k: usize) -> Result<SearchOutcome, OnexError> {
-        self.merge(query, k)
+        let targets = self.slots.iter().map(|slot| SlotTarget {
+            slot: Arc::clone(slot),
+            hedge_after: self.hedge_after,
+            stragglers: Mutex::new(Vec::new()),
+        });
+        self.pool.search(targets, query, k, &self.opts)
     }
 
-    /// Sum of the slots' last-observed epochs: any append anywhere
-    /// bumps it, so epoch-keyed caches invalidate correctly. Updated as
+    /// Sum over slots of the newest epoch any replica last reported: any
+    /// append anywhere bumps it, so epoch-keyed caches invalidate correctly. Updated as
     /// replies arrive — eventually consistent between requests.
     fn epoch(&self) -> Epoch {
-        self.slots.iter().map(|s| s.last_epoch()).sum()
+        let slot_epoch = |s: &Arc<Slot>| s.replicas.iter().map(|r| r.remote.epoch()).max();
+        self.slots.iter().filter_map(slot_epoch).sum()
     }
 }

@@ -8,7 +8,7 @@ use onex_core::backends::{
     CachedSearch, EbsmBackend, FrmBackend, OnexBackend, ShardedEngine, SpringBackend,
     UcrSuiteBackend,
 };
-use onex_core::{BuildReport, LengthSelection, Onex, QueryOptions, SeasonalOptions};
+use onex_core::{BuildReport, LengthSelection, Onex, PoolStats, QueryOptions, SeasonalOptions};
 use onex_grouping::BaseConfig;
 use onex_net::{ClusterConfig, ClusterEngine};
 use onex_tseries::{Dataset, TimeSeries};
@@ -836,38 +836,20 @@ impl App {
                 ),
             ]),
         )]);
-        // The sharded engine reports its persistent worker pool: workers
-        // and threads_spawned stay constant across requests (queries are
-        // channel sends, never thread spawns — the pool is built with the
-        // engine on first use and lives for the process), while
+        // Both fan-out backends report their executor's worker lanes:
+        // workers and threads_spawned stay constant across requests
+        // (queries are channel sends, never thread spawns), while
         // jobs_executed grows by one per shard per query.
         if name == "sharded" {
-            let p = self.sharded().pool_stats();
-            fields.push((
-                "pool",
-                Json::obj(vec![
-                    ("workers", p.workers.into()),
-                    ("threads_spawned", p.threads_spawned.into()),
-                    ("jobs_executed", p.jobs_executed.into()),
-                ]),
-            ));
+            fields.push(("pool", pool_json(self.sharded().pool_stats())));
         }
-        // The cluster engine reports its per-remote worker pool (the
-        // cross-process mirror of the sharded pool) plus the gossip
-        // traffic: tighten frames pushed to and received from the shard
-        // servers, accumulated across requests.
+        // The cluster engine adds the gossip traffic: tighten frames
+        // pushed to and received from the shard servers, accumulated
+        // across requests.
         if name == "cluster" {
             if let Ok(c) = self.cluster() {
-                let p = c.pool_stats();
                 let (sent, received) = c.gossip_counters();
-                fields.push((
-                    "pool",
-                    Json::obj(vec![
-                        ("workers", p.workers.into()),
-                        ("threads_spawned", p.threads_spawned.into()),
-                        ("jobs_executed", p.jobs_executed.into()),
-                    ]),
-                ));
+                fields.push(("pool", pool_json(c.pool_stats())));
                 fields.push((
                     "gossip",
                     Json::obj(vec![
@@ -1105,6 +1087,15 @@ impl App {
 enum PairView {
     Radial,
     Scatter,
+}
+
+/// The `pool` block of a fan-out backend's `/api/match` answer.
+fn pool_json(p: PoolStats) -> Json {
+    Json::obj(vec![
+        ("workers", p.workers.into()),
+        ("threads_spawned", p.threads_spawned.into()),
+        ("jobs_executed", p.jobs_executed.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -1714,6 +1705,20 @@ mod tests {
         assert!(
             body.contains(
                 "\"coverage\":{\"shards_answered\":2,\"shards_total\":2,\"degraded\":false}"
+            ),
+            "{body}"
+        );
+        // The in-process sharded backend answers through the same
+        // fan-out merge, so it reports (always full) coverage too.
+        let r = get(
+            &a,
+            "/api/match?series=MA-GrowthRate&start=4&len=8&k=2&backend=sharded",
+        );
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8(r.body));
+        let body = String::from_utf8(r.body).unwrap();
+        assert!(
+            body.contains(
+                "\"coverage\":{\"shards_answered\":4,\"shards_total\":4,\"degraded\":false}"
             ),
             "{body}"
         );
