@@ -47,8 +47,10 @@ pub struct QueryOptions {
     /// Prune whole groups through the ED↔DTW bridge. Turning this off
     /// scans every group member — only useful for the ablation (E9).
     pub prune_groups: bool,
-    /// Prune members with LB_Keogh before running DTW (only applicable
-    /// when the member length equals the query length).
+    /// Prune members with the f64 lower bounds before running DTW:
+    /// LB_Kim at every candidate length (it also decides whether a group
+    /// needs its representative DTW at all), and LB_Keogh when the member
+    /// length equals the query length. Off means no member lower bound.
     pub lb_keogh: bool,
     /// Reject members from their quantised L0 sketch before resolving any
     /// f64 data (only applicable when the member length equals the query
@@ -130,7 +132,8 @@ impl QueryOptions {
         self
     }
 
-    /// Builder-style: disable only the LB_Keogh member pruning (ablation).
+    /// Builder-style: disable only the LB_Kim/LB_Keogh member pruning
+    /// (ablation).
     pub fn without_lb_keogh(mut self) -> Self {
         self.lb_keogh = false;
         self

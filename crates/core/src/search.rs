@@ -1,20 +1,26 @@
 //! The two-phase group search shared by best-match and k-similar queries.
 //!
-//! Phase 1 ranks every group of a candidate length by the DTW distance
-//! between the query and the group representative. Phase 2 walks groups in
-//! that order and scans their members, with three sound pruning layers
-//! (paper §3.3 "optimization strategies ranging from indexing of time
-//! series using bounding envelopes to early pruning of unpromising
+//! Phase 1 ranks every group of a candidate length by a lower bound on the
+//! distance between the query and the group representative. Phase 2 walks
+//! groups in that order and scans their members, with these sound pruning
+//! layers (paper §3.3 "optimization strategies ranging from indexing of
+//! time series using bounding envelopes to early pruning of unpromising
 //! candidates"):
 //!
 //! 1. **Group pruning** via the ED↔DTW bridge: a group whose
 //!    representative distance minus `√W · radius` cannot beat the current
 //!    k-th best contains no useful member.
-//! 2. **L0 sketch prefilter** on each member: a lower bound computed from
-//!    the member's quantised-PAA sketch ([`onex_grouping::sketch`]) —
-//!    rejected candidates never even have their f64 data resolved.
-//! 3. **LB_Kim** (four touched points) then **LB_Keogh** on each member
-//!    against the query envelope (equal lengths only).
+//! 2. **Member filter** — the cheap member tiers, run over a group's
+//!    admitted members *before* its representative DTW. A group with no
+//!    survivor is pruned without any DTW.
+//!    - the **L0 sketch** bound from the member's quantised-PAA sketch
+//!      ([`onex_grouping::sketch`]), so a rejected candidate never has its
+//!      f64 data resolved (equal lengths only);
+//!    - **LB_Kim** (four touched points), at every candidate length. Each
+//!      survivor keeps its value, so the scan re-tests it against the
+//!      tightened bound without recomputing it.
+//! 3. **LB_Keogh** on each surviving member against the query envelope
+//!    (equal lengths only).
 //! 4. **Early-abandoning DTW** seeded with the current k-th best.
 //!
 //! Every prune threshold flows through one **query-global bound**: the
@@ -119,6 +125,15 @@ struct LengthPlan {
     l0: Option<QuerySketch>,
 }
 
+/// A member that passed the member filter and still needs LB_Keogh and
+/// DTW. Its values and LB_Kim are kept so the scan neither resolves nor
+/// bounds it twice.
+struct Survivor<'a> {
+    member: SubseqRef,
+    values: &'a [f64],
+    kim_sq: f64,
+}
+
 pub(crate) struct Searcher<'a> {
     dataset: &'a Dataset,
     base: &'a OnexBase,
@@ -130,6 +145,8 @@ pub(crate) struct Searcher<'a> {
     /// Callers that fan one query across several searchers (the sharded
     /// engine) pass the same bound to all of them.
     bound: &'a SharedBound,
+    /// The current group's filtered members, reused across groups.
+    survivors: Vec<Survivor<'a>>,
     pub stats: QueryStats,
 }
 
@@ -147,6 +164,7 @@ impl<'a> Searcher<'a> {
             query,
             opts,
             bound,
+            survivors: Vec::new(),
             stats: QueryStats::default(),
         }
     }
@@ -248,6 +266,12 @@ impl<'a> Searcher<'a> {
         }
     }
 
+    /// [`Self::raw_bound`] squared, the scale of the member tiers.
+    fn raw_bound_sq(&self, heap: &BinaryHeap<HeapEntry>, k: usize, plan: &LengthPlan) -> f64 {
+        let bound = self.raw_bound(heap, k, plan);
+        bound * bound
+    }
+
     fn search_length(&mut self, plan: &LengthPlan, k: usize, heap: &mut BinaryHeap<HeapEntry>) {
         let groups = self.base.groups_for_len(plan.len);
         if groups.is_empty() {
@@ -315,6 +339,16 @@ impl<'a> Searcher<'a> {
                 f64::INFINITY
             };
             if lb_rep >= prune_at {
+                self.stats.groups_pruned += 1;
+                continue;
+            }
+            // Filter the members before paying for the representative:
+            // under `Band::Full` the bridge slack `√W·radius` is wide, so
+            // the representative DTW mostly completes even when LB_Kim
+            // already rules out every member, or the query's own series
+            // excludes them.
+            self.filter_members(plan, k, gi, heap);
+            if self.survivors.is_empty() {
                 self.stats.groups_pruned += 1;
                 continue;
             }
@@ -413,13 +447,72 @@ impl<'a> Searcher<'a> {
         let mut chosen: Vec<(OrdF64, usize)> = selection.into_vec();
         chosen.sort();
         for (_, gi) in chosen {
+            self.filter_members(plan, k, gi, heap);
             self.scan_members(plan, k, gi, heap);
         }
     }
 
-    /// Scan one group's members into the k-best heap with LB_Keogh and
-    /// early-abandoning DTW, tightening (and publishing) the shared
-    /// bound as better candidates are found.
+    /// The member filter: run one group's admitted members through the
+    /// cheap tiers against the current bound — the L0 sketch, then LB_Kim
+    /// (which rides on the `lb_keogh` switch, so the ablations still mean
+    /// "no lower bounds") — and leave the survivors in `self.survivors`.
+    fn filter_members(
+        &mut self,
+        plan: &LengthPlan,
+        k: usize,
+        gi: usize,
+        heap: &BinaryHeap<HeapEntry>,
+    ) {
+        let dataset = self.dataset;
+        let g = &self.base.groups_for_len(plan.len)[gi];
+        // The group's sketch slab, parallel to `g.members()`: slot `i`
+        // holds member `i`'s quantised sketch. Absent (stale or unsynced
+        // index) simply means the L0 tier passes everyone through.
+        let sketches = plan
+            .l0
+            .as_ref()
+            .and_then(|_| self.base.sketches().for_len(plan.len))
+            .and_then(|ls| ls.group(gi));
+        let bound_sq = self.raw_bound_sq(heap, k, plan);
+        self.survivors.clear();
+        for (slot, &member) in g.members().iter().enumerate() {
+            if !self.opts.admits(member) {
+                continue;
+            }
+            // Tier L0: reject from the quantised sketch alone — no f64
+            // data is resolved for a candidate that dies here.
+            if let (Some(qs), Some(slab)) = (&plan.l0, sketches) {
+                if let Some(sk) = slab.get(slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE) {
+                    if qs.bound_sq(sk) > bound_sq {
+                        self.stats.members_l0_pruned += 1;
+                        continue;
+                    }
+                }
+            }
+            let values = dataset
+                .resolve(member)
+                .expect("base members resolve against their dataset");
+            // LB_Kim: four touched points, sound at any length pair.
+            let kim_sq = if self.opts.lb_keogh {
+                lb_kim_fl_sq(self.query, values)
+            } else {
+                0.0
+            };
+            if kim_sq > bound_sq {
+                self.stats.members_kim_pruned += 1;
+                continue;
+            }
+            self.survivors.push(Survivor {
+                member,
+                values,
+                kim_sq,
+            });
+        }
+    }
+
+    /// Scan the member filter's survivors of group `gi` into the k-best
+    /// heap with LB_Keogh and early-abandoning DTW, tightening (and
+    /// publishing) the shared bound as better candidates are found.
     fn scan_members(
         &mut self,
         plan: &LengthPlan,
@@ -430,7 +523,6 @@ impl<'a> Searcher<'a> {
         let n = self.query.len();
         let len = plan.len;
         let band = self.opts.band;
-        let g = &self.base.groups_for_len(len)[gi];
         let group_id = GroupId {
             len: len as u32,
             index: gi as u32,
@@ -448,53 +540,30 @@ impl<'a> Searcher<'a> {
                 f64::INFINITY
             }
         };
-        // The group's sketch slab, parallel to `g.members()`: slot `i`
-        // holds member `i`'s quantised sketch. Absent (stale or unsynced
-        // index) simply means the L0 tier passes everyone through.
-        let sketches = plan
-            .l0
-            .as_ref()
-            .and_then(|_| self.base.sketches().for_len(len))
-            .and_then(|ls| ls.group(gi));
-        for (slot, &member) in g.members().iter().enumerate() {
-            if !self.opts.admits(member) {
+        let survivors = std::mem::take(&mut self.survivors);
+        for s in &survivors {
+            let bound_sq = self.raw_bound_sq(heap, k, plan);
+            // The bound may have tightened since the filter ran; the
+            // stored LB_Kim re-tests for free.
+            if s.kim_sq > bound_sq {
+                self.stats.members_kim_pruned += 1;
                 continue;
             }
-            let bound = self.raw_bound(heap, k, plan);
-            let bound_sq = if bound.is_finite() {
-                bound * bound
-            } else {
-                f64::INFINITY
-            };
-            // Tier L0: reject from the quantised sketch alone — no f64
-            // data is resolved for a candidate that dies here.
-            if let (Some(qs), Some(slab)) = (&plan.l0, sketches) {
-                if let Some(sk) = slab.get(slot * SKETCH_STRIDE..(slot + 1) * SKETCH_STRIDE) {
-                    if qs.bound_sq(sk) > bound_sq {
-                        self.stats.members_l0_pruned += 1;
-                        continue;
-                    }
-                }
-            }
-            let values = self
-                .dataset
-                .resolve(member)
-                .expect("base members resolve against their dataset");
             if let Some(env) = &plan.env_q {
-                // Tier 1: LB_Kim — four touched points.
-                if lb_kim_fl_sq(self.query, values) > bound_sq {
-                    self.stats.members_kim_pruned += 1;
-                    continue;
-                }
-                // Tier 2: LB_Keogh against the query envelope.
-                if lb_keogh_sq(values, env, bound_sq).is_infinite() {
+                if lb_keogh_sq(s.values, env, bound_sq).is_infinite() {
                     self.stats.members_lb_pruned += 1;
                     continue;
                 }
             }
             self.stats.members_examined += 1;
-            let d_sq =
-                dtw_early_abandon_sq_dynamic(self.query, values, band, bound_sq, None, Some(&live));
+            let d_sq = dtw_early_abandon_sq_dynamic(
+                self.query,
+                s.values,
+                band,
+                bound_sq,
+                None,
+                Some(&live),
+            );
             if d_sq.is_infinite() {
                 self.stats.dtw_abandoned += 1;
                 self.stats.members_abandoned += 1;
@@ -509,7 +578,7 @@ impl<'a> Searcher<'a> {
                 heap.push(HeapEntry {
                     normalized,
                     distance,
-                    subseq: member,
+                    subseq: s.member,
                     group: group_id,
                 });
                 if heap.len() > k {
@@ -523,6 +592,7 @@ impl<'a> Searcher<'a> {
                 }
             }
         }
+        self.survivors = survivors;
     }
 
     fn materialize(&self, e: HeapEntry) -> Match {
@@ -544,6 +614,71 @@ impl<'a> Searcher<'a> {
             normalized: e.normalized,
             group: e.group,
             path,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use onex_grouping::{BaseBuilder, BaseConfig, RepresentativePolicy};
+    use onex_tseries::gen::{clustered_dataset, SyntheticConfig};
+
+    /// LB_Kim is sound at every length pair, so it must also fire at the
+    /// candidate lengths that differ from the query's — a gate back to
+    /// "equal lengths only" would leave those members to DTW.
+    #[test]
+    fn lb_kim_prunes_members_at_lengths_other_than_the_query() {
+        let ds = clustered_dataset(
+            SyntheticConfig {
+                series: 12,
+                len: 64,
+                seed: 3,
+            },
+            3,
+            0.05,
+        );
+        let cfg = BaseConfig {
+            policy: RepresentativePolicy::Seed,
+            ..BaseConfig::new(0.8, 14, 18)
+        };
+        let (base, _) = BaseBuilder::new(cfg).unwrap().build(&ds);
+        let query = ds.series(0).unwrap().subsequence(9, 16).unwrap().to_vec();
+        let k = 5;
+        let opts = QueryOptions::default()
+            .lengths(LengthSelection::Nearest(3))
+            .excluding_series(Some(0));
+
+        let bound = SharedBound::new();
+        let mut searcher = Searcher::new(&ds, &base, &query, &opts, &bound);
+        let mut heap = BinaryHeap::new();
+        let mut off_length_kim = 0;
+        let lengths = searcher.candidate_lengths();
+        assert!(lengths.iter().any(|&len| len != query.len()), "{lengths:?}");
+        for len in lengths {
+            let before = searcher.stats.members_kim_pruned;
+            let plan = searcher.plan(len);
+            searcher.search_length(&plan, k, &mut heap);
+            if len != query.len() {
+                off_length_kim += searcher.stats.members_kim_pruned - before;
+            }
+        }
+        assert!(off_length_kim > 0, "{:?}", searcher.stats);
+
+        let answer = |opts: &QueryOptions| {
+            let bound = SharedBound::new();
+            let mut searcher = Searcher::new(&ds, &base, &query, opts, &bound);
+            let matches = searcher.run(k);
+            (matches, searcher.stats)
+        };
+        let (with, _) = answer(&opts);
+        let (without, stats) = answer(&opts.clone().without_lb_keogh());
+        assert_eq!(stats.members_kim_pruned, 0, "the switch turns LB_Kim off");
+        assert_eq!(with.len(), k);
+        assert_eq!(with.len(), without.len());
+        for (a, b) in with.iter().zip(&without) {
+            assert_eq!(a.subseq, b.subseq);
+            assert!((a.normalized - b.normalized).abs() < 1e-12);
         }
     }
 }

@@ -8,7 +8,8 @@ use std::ops::AddAssign;
 pub struct QueryStats {
     /// Groups whose representative was compared against the query.
     pub groups_examined: usize,
-    /// Groups skipped entirely by the ED↔DTW bridge bound.
+    /// Groups skipped entirely: by the ED↔DTW bridge bound, or because no
+    /// admitted member survived the member filter (L0, LB_Kim).
     pub groups_pruned: usize,
     /// Members whose DTW was started.
     pub members_examined: usize,

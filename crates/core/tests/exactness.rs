@@ -11,7 +11,9 @@
 use onex_core::{exhaustive, LengthSelection, Onex, QueryOptions};
 use onex_distance::Band;
 use onex_grouping::{BaseConfig, RepresentativePolicy};
-use onex_tseries::gen::{random_walk_dataset, sine_mix_dataset, SyntheticConfig};
+use onex_tseries::gen::{
+    clustered_dataset, random_walk_dataset, sine_mix_dataset, SyntheticConfig,
+};
 use onex_tseries::Dataset;
 use proptest::prelude::*;
 
@@ -321,6 +323,62 @@ proptest! {
             ),
             (None, None) => {}
             (m, t) => prop_assert!(false, "presence mismatch: {m:?} vs {t:?}"),
+        }
+    }
+
+    /// The k-best answer across *unequal* lengths — where LB_Kim and the
+    /// member filter run but LB_Keogh and L0 do not — equals the
+    /// exhaustive scan up to distance ties at the k boundary.
+    #[test]
+    fn seed_k_best_exact_across_lengths(
+        seed in 0u64..1000,
+        clustered in 0u8..2,
+        st in 0.4f64..2.0,
+        qlen in 6usize..=12,
+        k in 1usize..=8,
+        ranged in 0u8..2,
+        lo in 6usize..12,
+        span in 0usize..4,
+        exclude in 0u8..2,
+    ) {
+        let cfg = SyntheticConfig { series: 6, len: 30, seed };
+        let ds = if clustered == 1 {
+            clustered_dataset(cfg, 2, 0.05)
+        } else {
+            random_walk_dataset(cfg)
+        };
+        let e = engine(&ds, st, 6, 12, RepresentativePolicy::Seed);
+        let mut lengths = all_lengths(&e);
+        let selection = if ranged == 1 {
+            let hi = (lo + span).min(12);
+            lengths.retain(|&l| l >= lo && l <= hi);
+            LengthSelection::Range(lo, hi)
+        } else {
+            lengths.sort_by_key(|&l| (l.abs_diff(qlen), l));
+            lengths.truncate(3);
+            LengthSelection::Nearest(3)
+        };
+        let opts = QueryOptions::default()
+            .lengths(selection)
+            .excluding_series((exclude == 1).then_some(0));
+        let query = ds.series(0).unwrap().subsequence(4, qlen).unwrap().to_vec();
+        let (matches, _) = e.k_best(&query, k, &opts).unwrap();
+        let truth = exhaustive::scan_k(&ds, &query, &lengths, 1, &opts, k, true).unwrap();
+        prop_assert_eq!(matches.len(), truth.len());
+        for (m, t) in matches.iter().zip(&truth) {
+            prop_assert!(
+                (m.normalized - t.normalized).abs() < 1e-9,
+                "k={} engine {} truth {}", k, m.normalized, t.normalized
+            );
+        }
+        // Every hit strictly inside the k-th distance is the same window.
+        if let Some(kth) = truth.last().map(|t| t.normalized) {
+            for m in matches.iter().filter(|m| m.normalized < kth - 1e-9) {
+                prop_assert!(
+                    truth.iter().any(|t| t.subseq == m.subseq),
+                    "{:?} is not in the exhaustive top-{}", m.subseq, k
+                );
+            }
         }
     }
 }

@@ -398,6 +398,10 @@ impl App {
     /// client opted in with `Connection: keep-alive`; everything else
     /// stays one-shot, exactly as before.
     fn handle_stream(&self, stream: TcpStream) {
+        // Responses go out in one write each; without TCP_NODELAY a
+        // keep-alive client would still see Nagle hold a response back
+        // behind its own delayed ACK of the previous one.
+        let _ = stream.set_nodelay(true);
         let Ok(out) = stream.try_clone() else { return };
         let _ = stream.set_read_timeout(Some(Self::KEEP_ALIVE_IDLE));
         let mut reader = BufReader::new(stream);
